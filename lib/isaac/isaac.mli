@@ -98,15 +98,11 @@ val device : t -> Gpu.Device.t
 
 val plan_gemm :
   ?top_k:int ->
-  ?engine:Tuner.Search.engine ->
   t ->
   Codegen.Gemm_params.input ->
   plan option
 (** Runtime inference for a GEMM input. Results are cached per input, so
-    repeated calls are free (the paper's filesystem cache). [engine]
-    selects the {!Tuner.Search} scoring engine (default [`Batched]); the
-    [`Scalar] reference chooses the identical config, only slower, so
-    the plan cache may safely mix engines.
+    repeated calls are free (the paper's filesystem cache).
 
     Concurrency-safe: lookups are lock-free, and N domains racing a
     cold input trigger exactly one search (the rest park on it and
@@ -117,14 +113,12 @@ val plan_gemm :
 
 val plan_conv :
   ?top_k:int ->
-  ?engine:Tuner.Search.engine ->
   t ->
   Codegen.Conv_params.input ->
   plan option
 
 val plan_gemm_with_status :
   ?top_k:int ->
-  ?engine:Tuner.Search.engine ->
   t ->
   Codegen.Gemm_params.input ->
   plan option * Plan_cache.outcome
@@ -133,7 +127,6 @@ val plan_gemm_with_status :
 
 val plan_conv_with_status :
   ?top_k:int ->
-  ?engine:Tuner.Search.engine ->
   t ->
   Codegen.Conv_params.input ->
   plan option * Plan_cache.outcome

@@ -297,25 +297,12 @@ let write ~path t =
   Util.Artifact.write ~path ~kind:artifact_kind ~version:schema_version
     (Json.to_string (to_json t) ^ "\n")
 
-let parse path contents =
-  match Json.of_string contents with
-  | exception Json.Parse_error msg -> Error (path ^ ": " ^ msg)
-  | j -> of_json j
-
 let load path =
   match
     Util.Artifact.read ~path ~kind:artifact_kind ~max_version:schema_version
   with
-  | Ok (_, payload) -> parse path payload
-  | Error (Util.Artifact.Bad_header _) -> (
-    (* Legacy headerless report (e.g. a committed baseline predating the
-       artifact store): the whole file is the JSON document. *)
-    match
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception Sys_error msg -> Error msg
-    | contents -> parse path contents)
+  | Ok (_, payload) -> (
+    match Json.of_string payload with
+    | exception Json.Parse_error msg -> Error (path ^ ": " ^ msg)
+    | j -> of_json j)
   | Error e -> Error (Util.Artifact.error_to_string ~path e)

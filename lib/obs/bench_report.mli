@@ -101,6 +101,5 @@ val write : path:string -> t -> unit
 
 val load : string -> (t, string) result
 (** Read, validate (artifact checksum) and parse; I/O, corruption and
-    parse failures are returned as [Error]. Headerless legacy reports
-    (e.g. [bench/baseline.json] written before the artifact store) are
-    still accepted. *)
+    parse failures are returned as [Error]. A file without the artifact
+    header (a bare JSON report) is an [Error] too. *)

@@ -1,6 +1,8 @@
 (** Reference PTX interpreter: the original decode-per-step engine,
-    retained verbatim as the executable specification for the
-    threaded-code engine in {!Interp}.
+    retained verbatim as the executable specification for the flat
+    bytecode engine in {!Interp}, and the only other engine: the two are
+    structurally independent (decode per step versus lowering once per
+    launch), so a lowering bug cannot hide in both.
 
     Semantics are identical to {!Interp.run} at [~domains:1] — output
     buffers, all sixteen counters and trap messages must match exactly,

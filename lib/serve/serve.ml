@@ -176,16 +176,22 @@ exception Bad_request of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad_request s)) fmt
 
-let field_int ?default json name =
-  match Obs.Json.member name json with
-  | None -> (
-    match default with
-    | Some d -> d
-    | None -> bad "missing integer field %S" name)
-  | Some v -> (
-    match Obs.Json.to_int v with
-    | Some i -> i
-    | None -> bad "field %S must be an integer" name)
+(* Every integer field is a dimension: values below [min] are rejected
+   here, before any plan is made or cached. *)
+let field_int ?default ~min json name =
+  let v =
+    match Obs.Json.member name json with
+    | None -> (
+      match default with
+      | Some d -> d
+      | None -> bad "missing integer field %S" name)
+    | Some v -> (
+      match Obs.Json.to_int v with
+      | Some i -> i
+      | None -> bad "field %S must be an integer" name)
+  in
+  if v < min then bad "field %S must be >= %d, got %d" name min v;
+  v
 
 let field_bool ~default json name =
   match Obs.Json.member name json with
@@ -303,12 +309,18 @@ let record_request t outcome latency_s =
     | Hit | Miss -> ()
   end
 
+(* Dimensions are read one [let] at a time, so an error always names the
+   first invalid field in this fixed order, whatever the order of the
+   JSON members. *)
 let handle_gemm t json ~id =
+  let m = field_int ~min:1 json "m" in
+  let n = field_int ~min:1 json "n" in
+  let k = field_int ~min:1 json "k" in
   let input =
     Codegen.Gemm_params.input ~dtype:(field_dtype json)
       ~a_trans:(field_bool ~default:false json "a_trans")
       ~b_trans:(field_bool ~default:false json "b_trans")
-      (field_int json "m") (field_int json "n") (field_int json "k")
+      m n k
   in
   let engine = engine_for t `Gemm in
   let t0 = Unix.gettimeofday () in
@@ -318,13 +330,19 @@ let handle_gemm t json ~id =
   respond_plan ~id ~op:"gemm" ~latency_s result
 
 let handle_conv t json ~id =
+  let dim name = field_int ~min:1 json name in
+  let n = dim "n" in
+  let c = dim "c" in
+  let k = dim "k" in
+  let p = dim "p" in
+  let q = dim "q" in
+  let r = dim "r" in
+  let s = dim "s" in
+  let stride = field_int ~default:1 ~min:1 json "stride" in
+  let pad = field_int ~default:0 ~min:0 json "pad" in
   let input =
-    Codegen.Conv_params.input ~dtype:(field_dtype json)
-      ~stride:(field_int ~default:1 json "stride")
-      ~pad:(field_int ~default:0 json "pad")
-      ~n:(field_int json "n") ~c:(field_int json "c") ~k:(field_int json "k")
-      ~p:(field_int json "p") ~q:(field_int json "q") ~r:(field_int json "r")
-      ~s:(field_int json "s") ()
+    Codegen.Conv_params.input ~dtype:(field_dtype json) ~stride ~pad ~n ~c ~k
+      ~p ~q ~r ~s ()
   in
   let engine = engine_for t `Conv in
   let t0 = Unix.gettimeofday () in

@@ -14,7 +14,11 @@
     back verbatim. Plan responses report [cache] ∈ ["hit"] / ["miss"] /
     ["coalesced"], the request [latency_s], and the chosen kernel
     configuration ([plan], [null] when no kernel is legal — that
-    negative result is cached too, so the retry is a hit).
+    negative result is cached too, so the retry is a hit). Dimensions
+    are checked before planning: GEMM [m], [n], [k] and CONV [n], [c],
+    [k], [p], [q], [r], [s], [stride] must be at least 1 and [pad] at
+    least 0; anything else gets an [ok:false] response and nothing is
+    planned or cached.
 
     {b Telemetry}: [serve.requests] / [serve.coalesced] /
     [serve.errors] / [serve.reloads] counters, a [serve.latency_s]

@@ -43,9 +43,8 @@ val predict_std_batch : t -> Mlp.Tensor.t -> float array
 
 val predict_std_one : t -> float array -> float
 (** One feature vector through feature standardization and the network,
-    in the standardized log-target space — the scalar planning path
-    ({!Search}'s [`Scalar] engine scores one candidate at a time with
-    this). *)
+    in the standardized log-target space. The test-only scalar planning
+    reference scores one candidate at a time with this. *)
 
 val predict_std_matrix : t -> Mlp.Matrix.t -> float array
 (** Batched counterpart of {!predict_std_one} over unboxed

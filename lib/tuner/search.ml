@@ -1,8 +1,6 @@
 module GP = Codegen.Gemm_params
 module CP = Codegen.Conv_params
 
-type engine = [ `Batched | `Scalar ]
-
 type candidate = {
   config : GP.config;
   predicted_tflops : float;
@@ -14,24 +12,8 @@ type result = {
   candidates : candidate array;
   n_legal : int;
   n_scored : int;
-  n_visited : int;
   phases : (string * float) list;
 }
-
-(* Growable push into an array (the space has tens of thousands of legal
-   points; consing a list and converting later doubles the allocation).
-   Results are reversed by the enumerators so callers keep seeing the
-   reverse-grid order the historical list API always produced. *)
-let grow_push buf n cfg =
-  if !n = Array.length !buf then begin
-    let bigger = Array.make (max 1024 (2 * !n)) cfg in
-    Array.blit !buf 0 bigger 0 !n;
-    buf := bigger
-  end;
-  !buf.(!n) <- cfg;
-  incr n
-
-let rev_of buf n = Array.init n (fun i -> buf.(n - 1 - i))
 
 (* --- pruned enumeration -------------------------------------------------- *)
 
@@ -69,8 +51,9 @@ let max_of a = Array.fold_left max a.(0) a
    re-verification; the register and shared-memory arithmetic below
    deliberately mirrors [Gemm_params.regs_estimate] / [shared_words],
    and the differential tests in [test_tuner.ml] pin this enumerator
-   to element-for-element equality with [legal_configs_reference]
-   (which keeps the original build-the-cost-record semantics).
+   to element-for-element equality with the test-only reference
+   enumerator (which keeps the original build-the-cost-record
+   semantics).
 
    Leaves are stored packed — [Config_space.num_params] ints per
    config in one flat int array, in forward grid order — so
@@ -82,7 +65,7 @@ let max_of a = Array.fold_left max a.(0) a
    a few percent of the cost of repeatedly growing (allocate + zero +
    copy, each large enough to pace a major GC slice) a doubling
    buffer in the major heap. *)
-type packed_enum = { packed : int array; count : int; visited : int }
+type packed_enum = { packed : int array; count : int }
 
 (* Serving telemetry: per-phase latency histograms (observed once per
    completed search) and the model-quality channel fed by the rebench
@@ -219,7 +202,7 @@ let legal_configs_fast_packed device (i : GP.input) =
       Array.unsafe_set buf (o + 8) vec;
       Array.unsafe_set buf (o + 9) db;
       incr n);
-  { packed = buf; count = total; visited = total }
+  { packed = buf; count = total }
 
 (* Config [j] in the caller-facing (reverse grid) order lives at packed
    slot [count - 1 - j]. *)
@@ -230,60 +213,21 @@ let packed_config e j =
     nl = p.(o + 4); u = p.(o + 5); kl = p.(o + 6); kg = p.(o + 7);
     vec = p.(o + 8); db = p.(o + 9) }
 
-let legal_configs_fast device (i : GP.input) =
-  let e = legal_configs_fast_packed device i in
-  (Array.init e.count (packed_config e), e.visited)
-
-(* Reference enumeration: one unpruned pass over the whole space, with
-   legality decided by building the full cost record — the original
-   semantics, retained as the [`Scalar] engine and as the differential
-   baseline for the pruned path. *)
-let legal_configs_reference ~structurally_legal ~cost device =
-  let buf = ref [||] and n = ref 0 and visited = ref 0 in
-  Config_space.iter Config_space.gemm (fun arr ->
-      incr visited;
-      let cfg = GP.config_of_array arr in
-      if structurally_legal cfg && Gpu.Executor.legal device (cost cfg) then
-        grow_push buf n cfg);
-  (rev_of !buf !n, !visited)
-
 let legal_gemm_config_array device (i : GP.input) =
-  fst (legal_configs_fast device i)
+  let e = legal_configs_fast_packed device i in
+  Array.init e.count (packed_config e)
 
 (* CONV legality is GEMM legality of the implicit-GEMM view:
    [CP.structurally_legal] delegates to it, and [CP.cost] keeps the base
    record's per-block resource fields untouched. *)
 let legal_conv_config_array device (i : CP.input) =
-  fst (legal_configs_fast device (CP.gemm_input i))
-
-let legal_gemm_config_array_ref device (i : GP.input) =
-  fst
-    (legal_configs_reference device
-       ~structurally_legal:(fun c -> GP.structurally_legal i c)
-       ~cost:(fun c -> GP.cost i c))
-
-let legal_conv_config_array_ref device (i : CP.input) =
-  fst
-    (legal_configs_reference device
-       ~structurally_legal:(fun c -> CP.structurally_legal i c)
-       ~cost:(fun c -> CP.cost i c))
-
-let legal_gemm_configs device i = Array.to_list (legal_gemm_config_array device i)
-let legal_conv_configs device i = Array.to_list (legal_conv_config_array device i)
+  legal_gemm_config_array device (CP.gemm_input i)
 
 let default_cap () = Util.Env_config.int "ISAAC_SEARCH_CAP" 60_000
 
-(* Deterministic subsample preserving order: every ceil(n/cap)-th item. *)
-let subsample cap items =
-  let n = Array.length items in
-  if n <= cap then items
-  else begin
-    let stride = (n + cap - 1) / cap in
-    Array.init ((n + stride - 1) / stride) (fun i -> items.(i * stride))
-  end
-
-(* Same selection over the packed representation — materializes records
-   only for the configurations that will be scored. *)
+(* Deterministic subsample preserving order: every ceil(n/cap)-th legal
+   configuration. Materializes records only for the configurations that
+   will be scored. *)
 let subsample_packed cap e =
   if e.count <= cap then Array.init e.count (packed_config e)
   else begin
@@ -333,24 +277,8 @@ let score_batched ~domains ~query profile cfgs =
   in
   (pred, t_feat, t_inf)
 
-(* Scalar scoring: re-featurize every candidate from scratch and run the
-   network one row at a time — the historical per-candidate path, kept
-   as the differential reference the batched engine must match
-   bit-for-bit. *)
-let score_scalar ~domains ~features_of profile cfgs =
-  let feats, t_feat = Obs.Span.timed (fun () -> Array.map features_of cfgs) in
-  let pred, t_inf =
-    Obs.Span.timed (fun () ->
-        if domains <= 1 then Array.map (Profile.predict_std_one profile) feats
-        else
-          Util.Parallel.map_array ~domains (Profile.predict_std_one profile)
-            feats)
-  in
-  (pred, t_feat, t_inf)
-
-let exhaustive ~op ~flops ~legal_fast ~legal_ref ~query ~features_of ~cost
-    ?(top_k = 100) ?cap ?noise ?domains ?(engine = `Batched) rng device
-    ~profile =
+let exhaustive ~op ~flops ~legal ~query ~cost ?(top_k = 100) ?cap ?noise
+    ?domains rng device ~profile =
   let cap = match cap with Some c -> c | None -> default_cap () in
   let domains =
     match domains with
@@ -359,40 +287,20 @@ let exhaustive ~op ~flops ~legal_fast ~legal_ref ~query ~features_of ~cost
   in
   let enum, t_enum =
     Obs.Span.with_ "search.enumerate" (fun () ->
-        Obs.Span.timed (fun () ->
-            match engine with
-            | `Batched -> `Packed (legal_fast device)
-            | `Scalar ->
-              let all, visited = legal_ref device in
-              `Materialized (all, visited)))
+        Obs.Span.timed (fun () -> legal device))
   in
-  let n_legal, n_visited =
-    match enum with
-    | `Packed e -> (e.count, e.visited)
-    | `Materialized (all, visited) -> (Array.length all, visited)
-  in
+  let n_legal = enum.count in
   if n_legal = 0 then None
   else begin
-    let scored_cfgs =
-      match enum with
-      | `Packed e -> subsample_packed cap e
-      | `Materialized (all, _) -> subsample cap all
-    in
+    let scored_cfgs = subsample_packed cap enum in
     let n = Array.length scored_cfgs in
     let pred, t_feat, t_inf =
       Obs.Span.with_ "search.score"
         ~meta:(fun () ->
           [ ("n_legal", Obs.Json.Int n_legal);
             ("n_scored", Obs.Json.Int n);
-            ("domains", Obs.Json.Int domains);
-            ( "engine",
-              Obs.Json.String
-                (match engine with `Batched -> "batched" | `Scalar -> "scalar")
-            ) ])
-        (fun () ->
-          match engine with
-          | `Batched -> score_batched ~domains ~query profile scored_cfgs
-          | `Scalar -> score_scalar ~domains ~features_of profile scored_cfgs)
+            ("domains", Obs.Json.Int domains) ])
+        (fun () -> score_batched ~domains ~query profile scored_cfgs)
     in
     let candidates, t_argmax =
       Obs.Span.timed (fun () ->
@@ -463,39 +371,24 @@ let exhaustive ~op ~flops ~legal_fast ~legal_ref ~query ~features_of ~cost
           candidates;
           n_legal;
           n_scored = n;
-          n_visited;
           phases }
   end
 
-let exhaustive_gemm ?top_k ?cap ?noise ?domains ?engine rng device ~profile
+let exhaustive_gemm ?top_k ?cap ?noise ?domains rng device ~profile
     (i : GP.input) =
-  let log = profile.Profile.log_features in
-  exhaustive ?top_k ?cap ?noise ?domains ?engine rng device ~profile ~op:"gemm"
+  exhaustive ?top_k ?cap ?noise ?domains rng device ~profile ~op:"gemm"
     ~flops:(2.0 *. float_of_int i.m *. float_of_int i.n *. float_of_int i.k)
-    ~legal_fast:(fun d -> legal_configs_fast_packed d i)
-    ~legal_ref:(fun d ->
-      legal_configs_reference d
-        ~structurally_legal:(fun c -> GP.structurally_legal i c)
-        ~cost:(fun c -> GP.cost i c))
-    ~query:(Features.gemm_query ~log i)
-    ~features_of:(fun cfg ->
-      Features.gemm_features ~log i (GP.config_to_array cfg))
+    ~legal:(fun d -> legal_configs_fast_packed d i)
+    ~query:(Features.gemm_query ~log:profile.Profile.log_features i)
     ~cost:(fun cfg -> GP.cost i cfg)
 
-let exhaustive_conv ?top_k ?cap ?noise ?domains ?engine rng device ~profile
+let exhaustive_conv ?top_k ?cap ?noise ?domains rng device ~profile
     (i : CP.input) =
-  let log = profile.Profile.log_features in
   let gi = CP.gemm_input i in
-  exhaustive ?top_k ?cap ?noise ?domains ?engine rng device ~profile ~op:"conv"
+  exhaustive ?top_k ?cap ?noise ?domains rng device ~profile ~op:"conv"
     ~flops:(2.0 *. float_of_int gi.m *. float_of_int gi.n *. float_of_int gi.k)
-    ~legal_fast:(fun d -> legal_configs_fast_packed d (CP.gemm_input i))
-    ~legal_ref:(fun d ->
-      legal_configs_reference d
-        ~structurally_legal:(fun c -> CP.structurally_legal i c)
-        ~cost:(fun c -> CP.cost i c))
-    ~query:(Features.conv_query ~log i)
-    ~features_of:(fun cfg ->
-      Features.conv_features ~log i (GP.config_to_array cfg))
+    ~legal:(fun d -> legal_configs_fast_packed d gi)
+    ~query:(Features.conv_query ~log:profile.Profile.log_features i)
     ~cost:(fun cfg -> CP.cost i cfg)
 
 let oracle ~legal_configs ~cost device =

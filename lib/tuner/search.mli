@@ -7,36 +7,27 @@
     candidates on the device "to smooth out the inherent noise of our
     predictive model".
 
-    Two scoring engines implement the same pipeline (see DESIGN.md,
-    "Planning hot path"):
+    The pipeline (see DESIGN.md, "Planning hot path") is a bound-pruned
+    lattice enumeration whose surviving leaves are exactly the legal set
+    (the deepest pruning levels check every legality conjunct),
+    per-query featurization caching ({!Features.query}), and one
+    matrix-matrix network evaluation per layer over the whole candidate
+    batch ({!Mlp.Network.forward_batch}), fanned across domains.
 
-    - [`Batched] (the default): bound-pruned lattice enumeration whose
-      surviving leaves are exactly the legal set (the deepest pruning
-      levels check every legality conjunct), per-query featurization caching
-      ({!Features.query}), and one matrix-matrix network evaluation per
-      layer over the whole candidate batch ({!Mlp.Network.forward_batch}),
-      fanned across domains.
-    - [`Scalar]: the historical reference — unpruned enumeration with
-      full cost-record legality, per-candidate featurization and one
-      network evaluation per candidate.
-
-    Float contract: the two engines compute bit-identical predictions
-    (same enumeration order, same feature values, same accumulation
-    order in the network), so they sort candidates identically, consume
-    the rebench [rng] identically, and return the {e same chosen config}
-    — asserted by differential tests and by the deterministic
-    [plan_argmax_equal] bench check in CI.
+    Float contract: a test-only scalar reference (unpruned enumeration
+    with full cost-record legality, per-candidate featurization and one
+    {!Profile.predict_std_one} call per candidate) computes
+    bit-identical predictions — same enumeration order, same feature
+    values, same accumulation order in the network — so it sorts
+    candidates identically, consumes the rebench [rng] identically, and
+    returns the {e same chosen config}. Differential tests and the
+    deterministic [plan_argmax_equal] bench check assert this.
 
     Under [ISAAC_TRACE] the stages report as [search.enumerate],
     [search.score] and [search.rebench] spans, and every re-benchmarked
     candidate emits a [config] event carrying both its predicted and
     measured TFLOPS — the data for studying model miscalibration on the
     short-list. *)
-
-type engine = [ `Batched | `Scalar ]
-(** Which scoring engine {!exhaustive_gemm}/{!exhaustive_conv} run.
-    Both return identical results; [`Scalar] exists as the differential
-    reference and for planning-latency comparisons. *)
 
 type candidate = {
   config : Codegen.Gemm_params.config;
@@ -49,10 +40,6 @@ type result = {
   candidates : candidate array;   (** top-k by model prediction, ranked *)
   n_legal : int;                  (** size of the legal space searched *)
   n_scored : int;                 (** configurations scored by the model *)
-  n_visited : int;                (** lattice leaves materialized by the
-                                      enumerator: the full grid for
-                                      [`Scalar], the post-pruning survivors
-                                      (= the legal set) for [`Batched] *)
   phases : (string * float) list;
   (** wall-clock seconds per pipeline phase, in order: [enumerate]
       (legal-space construction), [featurize] (feature-matrix fill),
@@ -64,11 +51,10 @@ type result = {
 val legal_gemm_config_array :
   Gpu.Device.t -> Codegen.Gemm_params.input -> Codegen.Gemm_params.config array
 (** All fully legal configurations for this input, enumerated in a single
-    bound-pruned pass over the space (reverse grid order, matching what
-    the historical list API produced; identical to
-    {!legal_gemm_config_array_ref} element-for-element). This is what
-    {!exhaustive_gemm}'s [`Batched] engine and {!oracle_gemm} consume
-    internally. *)
+    bound-pruned pass over the space, in reverse grid order; the
+    differential tests hold it to element-for-element equality with an
+    unpruned full-cost reference enumeration. {!exhaustive_gemm} and
+    {!oracle_gemm} enumerate the same set. *)
 
 val legal_conv_config_array :
   Gpu.Device.t -> Codegen.Conv_params.input -> Codegen.Gemm_params.config array
@@ -76,32 +62,11 @@ val legal_conv_config_array :
     legality of the implicit-GEMM view ([Conv_params.gemm_input]), so the
     same pruned enumerator runs on that view. *)
 
-val legal_gemm_config_array_ref :
-  Gpu.Device.t -> Codegen.Gemm_params.input -> Codegen.Gemm_params.config array
-(** Reference enumeration — one unpruned pass over the whole grid with
-    legality decided by building each candidate's full cost record. The
-    [`Scalar] engine uses this; the differential tests assert it equals
-    {!legal_gemm_config_array} exactly. *)
-
-val legal_conv_config_array_ref :
-  Gpu.Device.t -> Codegen.Conv_params.input -> Codegen.Gemm_params.config array
-(** CONV analogue of {!legal_gemm_config_array_ref}. *)
-
-val legal_gemm_configs :
-  Gpu.Device.t -> Codegen.Gemm_params.input -> Codegen.Gemm_params.config list
-(** [Array.to_list] of {!legal_gemm_config_array}, kept for callers that
-    want a list. *)
-
-val legal_conv_configs :
-  Gpu.Device.t -> Codegen.Conv_params.input -> Codegen.Gemm_params.config list
-(** CONV analogue of {!legal_gemm_configs}. *)
-
 val exhaustive_gemm :
   ?top_k:int ->
   ?cap:int ->
   ?noise:float ->
   ?domains:int ->
-  ?engine:engine ->
   Util.Rng.t ->
   Gpu.Device.t ->
   profile:Profile.t ->
@@ -116,16 +81,14 @@ val exhaustive_gemm :
     shipped here). [domains > 1] spreads featurization and model scoring
     over OCaml 5 domains; it defaults to
     [Util.Parallel.recommended_domains ()], so ISAAC_DOMAINS governs it.
-    [engine] defaults to [`Batched]. Results are identical for any
-    [domains] and either [engine] (given equal [rng] state). Features
-    follow the profile's [log_features] flag. *)
+    Results are identical for any [domains] (given equal [rng] state).
+    Features follow the profile's [log_features] flag. *)
 
 val exhaustive_conv :
   ?top_k:int ->
   ?cap:int ->
   ?noise:float ->
   ?domains:int ->
-  ?engine:engine ->
   Util.Rng.t ->
   Gpu.Device.t ->
   profile:Profile.t ->

@@ -59,6 +59,20 @@ let test_roundtrip () =
    | Error e -> Alcotest.failf "load failed: %s" e);
   Sys.remove path
 
+(* Only artifact-framed reports load: a bare JSON document (the format
+   written before the artifact store) is rejected, not parsed. *)
+let test_headerless_rejected () =
+  let path = Filename.temp_file "isaac_bench" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          Out_channel.output_string oc
+            (Obs.Json.to_string (BR.to_json (full_report ())) ^ "\n"));
+      match BR.load path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "headerless report loaded")
+
 let test_schema_validation () =
   let json = BR.to_json (full_report ()) in
   let tamper f =
@@ -304,6 +318,7 @@ let () =
     [ ( "serialization",
         [ quick "round-trip" test_roundtrip;
           quick "schema validation" test_schema_validation;
+          quick "headerless report rejected" test_headerless_rejected;
           quick "filename" test_filename ] );
       ( "regression gate",
         [ quick "deterministic tolerance" test_deterministic_gate;

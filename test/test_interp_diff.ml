@@ -10,10 +10,10 @@
    2. Real generated kernels (GEMM in all three bounds modes, kl/ks
       reduction splits, a kg>1 atomics split, and implicit-GEMM CONV)
       are launched through the retained decode-per-step reference
-      engine and through the threaded-code engine at domains=1 and
+      engine and through the bytecode engine at domains=1 and
       domains=4; output buffers must be bitwise identical and all 16
       dynamic counters exactly equal. This is the contract that lets
-      the compiled engine replace the reference everywhere. *)
+      the bytecode engine replace the reference everywhere. *)
 
 open Ptx.Types
 module B = Ptx.Builder
@@ -243,7 +243,7 @@ let prop_differential =
     (QCheck.make QCheck.Gen.(list_size (int_range 1 60) step_gen))
     run_both
 
-(* --- generated kernels: reference engine vs threaded-code engine -------- *)
+(* --- generated kernels: reference engine vs bytecode engine ------------- *)
 
 module GP = Codegen.Gemm_params
 module CP = Codegen.Conv_params
@@ -262,9 +262,9 @@ let check_same name (out_ref, c_ref) (out_got, c_got) =
     Alcotest.failf "%s: counters differ:\n  ref: %s\n  got: %s" name
       (Ptx.Interp.summary c_ref) (Ptx.Interp.summary c_got)
 
-(* Launch the same program + inputs through the naive reference and both
-   production engines (flat bytecode and threaded closures) at 1 and 4
-   domains, and insist all five runs are indistinguishable. Fresh output
+(* Launch the same program + inputs through the naive reference and the
+   bytecode engine at 1 and 4 domains, and insist all three runs are
+   indistinguishable. Fresh output
    buffers per launch so an atomics kernel (kg > 1) accumulates from
    zero each time. *)
 let diff_launch name program ~grid ~block ~bufs ~iargs ~out_len =
@@ -277,19 +277,13 @@ let diff_launch name program ~grid ~block ~bufs ~iargs ~out_len =
     launch (fun bufs -> Ptx.Interp_ref.run program ~grid ~block ~bufs ~iargs)
   in
   List.iter
-    (fun (ename, engine) ->
-      List.iter
-        (fun domains ->
-          let got =
-            launch (fun bufs ->
-                Ptx.Interp.run ~engine ~domains program ~grid ~block ~bufs
-                  ~iargs)
-          in
-          check_same
-            (Printf.sprintf "%s [%s domains=%d]" name ename domains)
-            reference got)
-        [ 1; 4 ])
-    [ ("bytecode", `Bytecode); ("closures", `Closures) ]
+    (fun domains ->
+      let got =
+        launch (fun bufs ->
+            Ptx.Interp.run ~domains program ~grid ~block ~bufs ~iargs)
+      in
+      check_same (Printf.sprintf "%s [domains=%d]" name domains) reference got)
+    [ 1; 4 ]
 
 let gemm_case ?bounds name (m, n, k) (cfg : GP.config) =
   let input = GP.input m n k in
@@ -325,7 +319,7 @@ let test_gemm_diff () =
   gemm_case "gemm 33x17x24 ks2" (33, 17, 24) { base_cfg with ks = 2 }
 
 let test_gemm_diff_atomics () =
-  (* kg > 1 reduces across the grid with global atomics: the threaded
+  (* kg > 1 reduces across the grid with global atomics: the bytecode
      engine must detect this and fall back to serial execution even at
      domains=4, keeping results identical to the reference. *)
   gemm_case "gemm 32^3 kg2 atomics" (32, 32, 32) { base_cfg with kg = 2 }
@@ -363,11 +357,72 @@ let test_conv_diff () =
     (CP.input ~stride:2 ~n:2 ~c:3 ~k:4 ~p:4 ~q:4 ~r:3 ~s:3 ())
     base_cfg
 
+(* --- traps: identical messages from both engines ----------------------- *)
+
+(* Each faulting kernel must raise the same [Trap] message — location,
+   cause and counter snapshot — from the reference and from the bytecode
+   engine at 1 and 4 domains (single-block launches, so every domain
+   count runs the faulting block with the full counter totals). *)
+let trap_msg run =
+  match run () with
+  | exception Ptx.Interp.Trap msg -> msg
+  | _ -> Alcotest.fail "expected Trap"
+
+let trap_case ?max_dynamic name program ~block =
+  let bufs () = [ ("C", Array.make 4 0.0) ] in
+  let expected =
+    trap_msg (fun () ->
+        Ptx.Interp_ref.run ?max_dynamic program ~grid:(1, 1, 1) ~block
+          ~bufs:(bufs ()) ~iargs:[])
+  in
+  List.iter
+    (fun domains ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s [domains=%d]" name domains)
+        expected
+        (trap_msg (fun () ->
+             Ptx.Interp.run ?max_dynamic ~domains program ~grid:(1, 1, 1)
+               ~block ~bufs:(bufs ()) ~iargs:[])))
+    [ 1; 4 ]
+
+let test_trap_diff () =
+  let kernel name emit =
+    let b = B.create ~name ~dtype:F32 in
+    let c_slot = B.buf_param b "C" in
+    B.set_shared b ~words:4 ~int_words:0;
+    emit b c_slot;
+    B.finish b
+  in
+  trap_case "oob global store" ~block:(2, 1, 1)
+    (kernel "oob_global" (fun b c ->
+         let l = B.fresh_label b "body" in
+         B.place_label b l;
+         let tid = B.mov_i b (Ispecial Tid_x) in
+         B.emit b (I.St_global (c, Ireg tid, Fimm 1.0));
+         B.emit b (I.St_global (c, Iimm 100, Fimm 1.0))));
+  trap_case "oob shared load" ~block:(1, 1, 1)
+    (kernel "oob_shared" (fun b _ ->
+         B.emit b (I.Ld_shared (B.fresh_f b, Iimm 9))));
+  trap_case "barrier divergence" ~block:(2, 1, 1)
+    (kernel "diverge" (fun b _ ->
+         let tid = B.mov_i b (Ispecial Tid_x) in
+         let p0 = B.setp b Eq (Ireg tid) (Iimm 0) in
+         let skip = B.fresh_label b "skip" in
+         B.emit b ~guard:(p0, true) (I.Bra skip);
+         B.emit b I.Bar;
+         B.place_label b skip));
+  trap_case "instruction budget" ~max_dynamic:1_000 ~block:(4, 1, 1)
+    (kernel "spin" (fun b _ ->
+         let top = B.fresh_label b "top" in
+         B.place_label b top;
+         ignore (B.add_i b (Iimm 1) (Iimm 2));
+         B.emit b (I.Bra top)))
+
 let () =
   Alcotest.run "interp-diff"
     [ ("differential", [ QCheck_alcotest.to_alcotest prop_differential ]);
       ( "kernels",
         [ quick "gemm: ref vs compiled, serial and 4 domains" test_gemm_diff;
           quick "gemm kg>1: atomics force serial fallback" test_gemm_diff_atomics;
-          quick "conv: ref vs compiled, serial and 4 domains" test_conv_diff ] )
-    ]
+          quick "conv: ref vs compiled, serial and 4 domains" test_conv_diff ] );
+      ("traps", [ quick "ref vs bytecode trap messages" test_trap_diff ]) ]

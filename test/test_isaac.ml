@@ -41,20 +41,28 @@ let test_plan_gemm () =
     Alcotest.(check bool) "positive speed" true (plan.measurement.tflops > 0.0);
     Alcotest.(check bool) "explored space" true (plan.n_legal > 1000)
 
-(* The [`Scalar] reference engine must plan the identical config, and
-   the default batched plan must carry the phase breakdown
-   [isaac_query --timing] prints. *)
+(* The scalar reference search must plan the identical config, and the
+   plan must carry the phase breakdown [isaac_query --timing] prints.
+   The reference gets the rng [Isaac] seeds from the (op, input) pair,
+   so the re-benchmarked measurement must match bit for bit too. *)
 let test_plan_engines_and_phases () =
   let engine = Lazy.force gemm_engine in
   let profile = Isaac.profile engine in
-  let fresh () = Isaac.of_profile Gpu.Device.gtx980ti profile in
   let input = GP.input 640 128 640 in
-  let batched = Option.get (Isaac.plan_gemm (fresh ()) input) in
-  let scalar = Option.get (Isaac.plan_gemm ~engine:`Scalar (fresh ()) input) in
+  let batched =
+    Option.get
+      (Isaac.plan_gemm (Isaac.of_profile Gpu.Device.gtx980ti profile) input)
+  in
+  let scalar =
+    Option.get
+      (Search_ref.exhaustive_gemm
+         (Util.Rng.create (0x15aac lxor Hashtbl.hash ("gemm", input)))
+         Gpu.Device.gtx980ti ~profile input)
+  in
   Alcotest.(check bool) "identical config" true
-    (GP.equal_config batched.config scalar.config);
+    (GP.equal_config batched.config scalar.best);
   Alcotest.(check (float 0.0)) "identical measurement"
-    scalar.measurement.tflops batched.measurement.tflops;
+    scalar.best_measurement.tflops batched.measurement.tflops;
   Alcotest.(check (list string)) "phase names"
     [ "enumerate"; "featurize"; "inference"; "argmax"; "rebench" ]
     (List.map fst batched.phases);

@@ -129,6 +129,47 @@ let test_stats () =
       | Some (J.Int n) -> Alcotest.(check int) "two plan requests" 2 n
       | _ -> Alcotest.fail "stats lacks requests")
 
+let stats_int srv name =
+  match J.member name (J.of_string (handle_line srv {|{"op":"stats"}|})) with
+  | Some (J.Int n) -> n
+  | _ -> Alcotest.failf "stats lacks %s" name
+
+(* Dimensions outside their domain are rejected at the wire: each line
+   gets ok:false naming the field, counts as an error, and leaves the
+   plan cache untouched (no NaN plan is ever made or cached). The conv
+   lines fail on their dimensions before the missing conv profile is
+   consulted. *)
+let test_invalid_dimensions () =
+  with_server (fun srv _ ->
+      ignore (handle_line srv gemm_req);
+      let entries = stats_cache_entries srv in
+      List.iteri
+        (fun i (line, bad_field) ->
+          let r = handle_line srv line in
+          Alcotest.(check (option bool)) ("not ok: " ^ line) (Some false)
+            (J.to_bool (field r "ok"));
+          let msg = Option.value ~default:"" (J.to_str (field r "error")) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names %s" msg bad_field)
+            true
+            (String.starts_with
+               ~prefix:(Printf.sprintf "field %S must be >=" bad_field)
+               msg);
+          Alcotest.(check int) ("errors counted: " ^ line) (i + 1)
+            (stats_int srv "errors");
+          Alcotest.(check int) ("cache unchanged: " ^ line) entries
+            (stats_cache_entries srv))
+        [ ({|{"op":"gemm","m":-5,"n":64,"k":64}|}, "m");
+          ({|{"op":"gemm","m":0,"n":0,"k":0}|}, "m");
+          ({|{"op":"gemm","m":64,"n":64,"k":0}|}, "k");
+          ({|{"op":"conv","n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":0}|}, "s");
+          ( {|{"op":"conv","n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":3,"stride":0}|},
+            "stride" );
+          ( {|{"op":"conv","n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":3,"pad":-1}|},
+            "pad" ) ];
+      Alcotest.(check int) "only the valid plan request counted" 1
+        (stats_int srv "requests"))
+
 let test_shutdown_verdict () =
   with_server (fun srv _ ->
       let response, verdict = Serve.handle srv {|{"op":"shutdown","id":9}|} in
@@ -176,6 +217,7 @@ let () =
          slow "cold miss, warm hit, identical plan" test_cold_then_warm;
          slow "malformed requests" test_errors;
          slow "stats endpoint" test_stats;
+         slow "invalid dimensions rejected" test_invalid_dimensions;
          slow "shutdown verdict" test_shutdown_verdict ]);
       ("hot reload",
        [ slow "rewritten profile picked up without restart" test_hot_reload;

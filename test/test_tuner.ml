@@ -322,16 +322,16 @@ let test_search_beats_median_kernel () =
     Option.get
       (Tuner.Search.exhaustive_gemm ~top_k:50 ~cap:20000 r device ~profile input)
   in
-  let configs = Tuner.Search.legal_gemm_configs device input in
   let tflops =
-    List.filter_map
-      (fun c ->
-        Option.map
-          (fun (rep : Gpu.Perf_model.report) -> rep.tflops)
-          (Gpu.Perf_model.predict device (GP.cost input c)))
-      configs
+    Tuner.Search.legal_gemm_config_array device input
+    |> Array.to_seq
+    |> Seq.filter_map (fun c ->
+           Option.map
+             (fun (rep : Gpu.Perf_model.report) -> rep.tflops)
+             (Gpu.Perf_model.predict device (GP.cost input c)))
+    |> Array.of_seq
   in
-  let median = Util.Stats.median (Array.of_list tflops) in
+  let median = Util.Stats.median tflops in
   Alcotest.(check bool) "beats median" true
     (result.best_measurement.tflops > median)
 
@@ -398,7 +398,7 @@ let test_pruned_legal_sets_match_reference () =
     (fun (device, input) ->
       check_config_arrays
         (Printf.sprintf "gemm %dx%dx%d" input.GP.m input.GP.n input.GP.k)
-        (Tuner.Search.legal_gemm_config_array_ref device input)
+        (Search_ref.legal_gemm_config_array device input)
         (Tuner.Search.legal_gemm_config_array device input))
     cases
 
@@ -407,29 +407,31 @@ let test_pruned_conv_legal_matches_reference () =
   List.iter
     (fun input ->
       check_config_arrays "conv"
-        (Tuner.Search.legal_conv_config_array_ref device input)
+        (Search_ref.legal_conv_config_array device input)
         (Tuner.Search.legal_conv_config_array device input))
     [ CP.input ~n:2 ~c:16 ~k:32 ~p:8 ~q:8 ~r:3 ~s:3 ();
       CP.input ~n:1 ~c:3 ~k:64 ~p:112 ~q:112 ~r:7 ~s:7 ~stride:2 ~pad:3
         ~dtype:Ptx.Types.F16 () ]
 
-(* The two scoring engines must pick bit-identical plans: same legal set,
-   same predictions, same sort, same rebench rng consumption. Batched
-   runs with 3 domains to also cross engine equality with
-   domain-invariance. *)
+(* The search and its scalar reference must pick bit-identical plans:
+   same legal set, same predictions, same sort, same rebench rng
+   consumption. The search runs with 3 domains to also cross reference
+   equality with domain-invariance. *)
 let test_engines_choose_identical_plans () =
   let r = rng () in
   let device = Gpu.Device.gtx980ti in
   let profile = tiny_profile r device in
   List.iter
     (fun input ->
-      let run engine domains =
-        let r = Util.Rng.create 77 in
+      let b =
         Option.get
-          (Tuner.Search.exhaustive_gemm ~top_k:10 ~cap:5000 ~domains ~engine r
-             device ~profile input)
+          (Tuner.Search.exhaustive_gemm ~top_k:10 ~cap:5000 ~domains:3
+             (Util.Rng.create 77) device ~profile input)
+      and s =
+        Option.get
+          (Search_ref.exhaustive_gemm ~top_k:10 ~cap:5000 ~domains:1
+             (Util.Rng.create 77) device ~profile input)
       in
-      let b = run `Batched 3 and s = run `Scalar 1 in
       Alcotest.(check bool) "same best config" true (GP.equal_config b.best s.best);
       Alcotest.(check int) "same n_legal" s.n_legal b.n_legal;
       Alcotest.(check int) "same n_scored" s.n_scored b.n_scored;
@@ -445,7 +447,7 @@ let test_engines_choose_identical_plans () =
             s.candidates.(i).predicted_tflops c.predicted_tflops)
         b.candidates;
       Alcotest.(check bool) "pruning visits fewer leaves" true
-        (b.n_visited < s.n_visited);
+        (b.n_legal < Search_ref.grid_leaves ());
       Alcotest.(check (list string)) "phase names"
         [ "enumerate"; "featurize"; "inference"; "argmax"; "rebench" ]
         (List.map fst b.phases))
@@ -457,13 +459,15 @@ let test_engines_choose_identical_conv_plans () =
   let ds = Tuner.Dataset.generate_conv r device ~n:800 in
   let profile = Tuner.Profile.train ~arch:[| 32; 32 |] ~epochs:10 r ds in
   let input = CP.input ~n:2 ~c:16 ~k:32 ~p:8 ~q:8 ~r:3 ~s:3 () in
-  let run engine =
-    let r = Util.Rng.create 78 in
+  let b =
     Option.get
-      (Tuner.Search.exhaustive_conv ~top_k:10 ~cap:5000 ~engine r device
-         ~profile input)
+      (Tuner.Search.exhaustive_conv ~top_k:10 ~cap:5000 (Util.Rng.create 78)
+         device ~profile input)
+  and s =
+    Option.get
+      (Search_ref.exhaustive_conv ~top_k:10 ~cap:5000 (Util.Rng.create 78)
+         device ~profile input)
   in
-  let b = run `Batched and s = run `Scalar in
   Alcotest.(check bool) "same best config" true (GP.equal_config b.best s.best);
   Alcotest.(check (float 0.0)) "bit-equal measurement" s.best_measurement.tflops
     b.best_measurement.tflops
@@ -494,12 +498,14 @@ let prop_pruning_never_changes_argmax =
       let device =
         if Util.Rng.bool r then Gpu.Device.gtx980ti else Gpu.Device.p100
       in
-      let run engine =
-        (* Fresh rng per engine: identical rebench draws. *)
-        Tuner.Search.exhaustive_gemm ~top_k:5 ~cap:2000 ~domains:1 ~engine
-          (Util.Rng.create 55) device ~profile:(Lazy.force profile) input
-      in
-      match (run `Batched, run `Scalar) with
+      let profile = Lazy.force profile in
+      (* Fresh rng per search: identical rebench draws. *)
+      match
+        ( Tuner.Search.exhaustive_gemm ~top_k:5 ~cap:2000 ~domains:1
+            (Util.Rng.create 55) device ~profile input,
+          Search_ref.exhaustive_gemm ~top_k:5 ~cap:2000 ~domains:1
+            (Util.Rng.create 55) device ~profile input )
+      with
       | None, None -> true
       | Some b, Some s ->
         GP.equal_config b.best s.best
