@@ -22,12 +22,13 @@ let tests () =
   let feats =
     Tuner.Features.gemm_features ~log:true linpack (GP.config_to_array linpack_cfg)
   in
+  (* The planner's scoring path: Network.forward_batch over an unboxed
+     256-row Matrix. *)
   let batch =
     let n = 256 in
-    let x = Mlp.Tensor.create n Tuner.Features.dim in
+    let x = Mlp.Matrix.create n Tuner.Features.dim in
     for i = 0 to n - 1 do
-      Array.blit feats 0 x.Mlp.Tensor.data (i * Tuner.Features.dim)
-        Tuner.Features.dim
+      Array.iteri (fun j v -> Mlp.Matrix.set x i j v) feats
     done;
     x
   in
@@ -43,7 +44,7 @@ let tests () =
     Test.make ~name:"table2: MLP inference (1 config)"
       (Staged.stage (fun () -> ignore (Mlp.Network.predict_one net feats)));
     Test.make ~name:"fig5: MLP inference (batch 256)"
-      (Staged.stage (fun () -> ignore (Mlp.Network.predict net batch)));
+      (Staged.stage (fun () -> ignore (Mlp.Network.predict_matrix net batch)));
     Test.make ~name:"table3: occupancy calculation"
       (Staged.stage (fun () ->
            ignore
@@ -437,7 +438,8 @@ let run () =
             Printf.sprintf "%.3g" (1e9 /. Float.max 1.0 ns) |])
        rows);
   (* §6 claim: "up to a million different configurations per second can be
-     evaluated" — configurations scored per second through the batch path. *)
+     evaluated" — configurations scored per second through the planner's
+     batched inference path (Network.predict_matrix). *)
   let scoring_checks =
     match
       List.find_opt

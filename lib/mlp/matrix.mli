@@ -7,8 +7,9 @@
     MLP over tens of thousands of candidate configurations per query, so
     it stores the feature batch in a [Bigarray.Array1] of unboxed
     doubles instead: rows can be sliced into zero-copy views for domain
-    fan-out, and the inference kernels in {!Network.forward_batch} walk
-    the storage with unchecked loads.
+    fan-out, and the C inference kernel behind {!Network.forward_batch}
+    reads the storage in place, outside the OCaml heap, with the runtime
+    lock released.
 
     Shape convention (same as {!Tensor}): a batch is [rows × cols] with
     one configuration's feature vector per {e row}, stored row-major —

@@ -34,17 +34,34 @@ val predict_one : t -> float array -> float
 val forward_batch : t -> input:Matrix.t -> Matrix.t
 (** Batched forward pass over unboxed {!Matrix} storage: [input] is
     (batch × inputs), one feature vector per row; the result is
-    (batch × 1) network outputs. Evaluates the whole batch as one
-    matrix product per layer with eight-row weight reuse — the planning
-    hot path that scores thousands of candidate configurations per
-    query ({!Tuner.Search}).
+    (batch × 1) network outputs. This is the planning hot path that
+    scores tens of thousands of candidate configurations per query
+    ({!Tuner.Search}).
 
-    Float contract: per element the arithmetic (ascending-[k]
-    single-accumulator dot product, then bias add, then relu) is
-    identical to {!predict}'s {!Tensor} pipeline, so outputs are
-    bit-equal to the scalar path on the same rows, for any batch size
-    (including 1 and ragged tails). The differential tests in
-    [test/test_mlp.ml] assert exact equality. *)
+    It runs a C kernel ([mlp_stubs.c]) that takes the batch 32 rows at
+    a time and runs every layer over that block before it moves on. The
+    block is transposed to feature-major order, so activations stay in
+    L1 and the innermost loop runs across 32 independent rows (32
+    accumulator chains per neuron, in vector registers).
+
+    Float contract: each output element is computed as [acc + x *. w]
+    with a separate multiply and add, in ascending [k], from [0.0];
+    then the bias is added; then hidden layers apply
+    [if v < 0.0 then 0.0 else v]. The file is compiled with
+    [-ffp-contract=off], so the compiler never fuses the pair into an
+    FMA. That is {!predict}'s {!Tensor} pipeline operation for
+    operation, so outputs are bit-equal to it on the same rows, for any
+    batch size, for zero-copy {!Matrix.sub_rows} views, and for inputs
+    holding signed zeros, infinities, NaN or subnormals. The one
+    exception is the payload of a NaN output, which is NaN on both
+    paths. The differential tests in [test/test_mlp.ml] assert this.
+
+    On x86-64 GCC and glibc builds the kernel carries AVX-512, AVX2
+    and baseline clones, and the loader picks the widest one the CPU
+    supports; every clone obeys the same float contract. The weights (a few tens of KB)
+    are copied out of the OCaml heap first. The block loop then runs
+    with the runtime lock released, so a long plan on one domain does
+    not hold up a stop-the-world collection in other domains. *)
 
 val predict_matrix : t -> Matrix.t -> float array
 (** {!forward_batch} with the (batch × 1) result flattened to one

@@ -277,6 +277,45 @@ let score_batched ~domains ~query profile cfgs =
   in
   (pred, t_feat, t_inf)
 
+(* One pass with a binary heap of the best [k] rows seen so far, rooted
+   at the worst of them, so a row that does not make the cut costs one
+   comparison. [better] is a strict total order (the index breaks
+   ties), hence the result is exactly a stable descending sort's first
+   [k]. [Float.compare], not polymorphic compare: the latter is an
+   out-of-line C call per comparison. *)
+let top_indices pred k =
+  let k = max 0 (min k (Array.length pred)) in
+  let better i j =
+    let c = Float.compare pred.(i) pred.(j) in
+    c > 0 || (c = 0 && i < j)
+  in
+  let heap = Array.init k Fun.id in
+  let rec sift_down pos =
+    let l = (2 * pos) + 1 in
+    if l < k then begin
+      let r = l + 1 in
+      let worst = if r < k && better heap.(l) heap.(r) then r else l in
+      if better heap.(pos) heap.(worst) then begin
+        let t = heap.(pos) in
+        heap.(pos) <- heap.(worst);
+        heap.(worst) <- t;
+        sift_down worst
+      end
+    end
+  in
+  for pos = (k / 2) - 1 downto 0 do
+    sift_down pos
+  done;
+  if k > 0 then
+    for i = k to Array.length pred - 1 do
+      if better i heap.(0) then begin
+        heap.(0) <- i;
+        sift_down 0
+      end
+    done;
+  Array.sort (fun i j -> if better i j then -1 else 1) heap;
+  heap
+
 let exhaustive ~op ~flops ~legal ~query ~cost ?(top_k = 100) ?cap ?noise
     ?domains rng device ~profile =
   let cap = match cap with Some c -> c | None -> default_cap () in
@@ -304,16 +343,12 @@ let exhaustive ~op ~flops ~legal ~query ~cost ?(top_k = 100) ?cap ?noise
     in
     let candidates, t_argmax =
       Obs.Span.timed (fun () ->
-          let order = Array.init n (fun i -> i) in
-          (* Float.compare, not polymorphic compare: the latter is an
-             out-of-line C call per comparison, ~3x the whole sort. *)
-          Array.sort (fun a b -> Float.compare pred.(b) pred.(a)) order;
-          let k = min top_k n in
-          Array.init k (fun rank ->
-              let idx = order.(rank) in
+          Array.map
+            (fun idx ->
               { config = scored_cfgs.(idx);
                 predicted_tflops =
-                  Features.untarget profile.Profile.scaler pred.(idx) }))
+                  Features.untarget profile.Profile.scaler pred.(idx) })
+            (top_indices pred top_k))
     in
     (* Re-benchmark the short-list on the device and keep the fastest. *)
     let best, t_rebench =

@@ -18,8 +18,8 @@
     with full cost-record legality, per-candidate featurization and one
     {!Profile.predict_std_one} call per candidate) computes
     bit-identical predictions — same enumeration order, same feature
-    values, same accumulation order in the network — so it sorts
-    candidates identically, consumes the rebench [rng] identically, and
+    values, same accumulation order in the network — so it ranks
+    candidates identically ({!top_indices}), consumes the rebench [rng] identically, and
     returns the {e same chosen config}. Differential tests and the
     deterministic [plan_argmax_equal] bench check assert this.
 
@@ -43,7 +43,7 @@ type result = {
   phases : (string * float) list;
   (** wall-clock seconds per pipeline phase, in order: [enumerate]
       (legal-space construction), [featurize] (feature-matrix fill),
-      [inference] (network forward), [argmax] (sort + top-k) and
+      [inference] (network forward), [argmax] ({!top_indices}) and
       [rebench] (on-device short-list timing). Surfaced by
       [isaac_query --timing]. *)
 }
@@ -61,6 +61,13 @@ val legal_conv_config_array :
 (** CONV analogue of {!legal_gemm_config_array}: CONV legality is GEMM
     legality of the implicit-GEMM view ([Conv_params.gemm_input]), so the
     same pruned enumerator runs on that view. *)
+
+val top_indices : float array -> int -> int array
+(** [top_indices pred k] is the short-list rule: the indices of the
+    [min k (Array.length pred)] best predictions, best first. Rank is
+    [pred] descending under [Float.compare] (so NaN ranks last), ties
+    broken by ascending index — the first [k] of a stable descending
+    sort, found in one pass without sorting the rest. *)
 
 val exhaustive_gemm :
   ?top_k:int ->

@@ -77,8 +77,10 @@ let exhaustive ~legal ~features_of ~cost ?(top_k = 100) ?cap ?noise ?domains
     in
     let candidates, t_argmax =
       Obs.Span.timed (fun () ->
+          (* Stable, so equal predictions keep ascending index order:
+             this defines the tie order the production top-k matches. *)
           let order = Array.init n (fun i -> i) in
-          Array.sort (fun a b -> Float.compare pred.(b) pred.(a)) order;
+          Array.stable_sort (fun a b -> Float.compare pred.(b) pred.(a)) order;
           Array.init (min top_k n) (fun rank ->
               let idx = order.(rank) in
               { S.config = scored_cfgs.(idx);

@@ -9,8 +9,9 @@
     - per-candidate featurization with {!Tuner.Features.gemm_features} /
       {!Tuner.Features.conv_features};
     - one {!Tuner.Profile.predict_std_one} call per candidate;
-    - a full sort, the top-k, and a re-benchmark of the short-list with
-      the given [rng].
+    - a full stable sort (so ties keep ascending index order, the tie
+      order {!Tuner.Search.top_indices} must match), the top-k, and a
+      re-benchmark of the short-list with the given [rng].
 
     Given equal [rng] state it must return the result
     {!Tuner.Search.exhaustive_gemm} returns, bit for bit: the same legal

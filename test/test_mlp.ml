@@ -154,8 +154,43 @@ let test_matrix_sub_rows_shares_storage () =
 
 (* The float contract of the planning hot path: the batched Bigarray
    forward must be bit-equal to the Tensor pipeline — exact zero
-   tolerance — for any batch size, including 1 and ragged tails of the
-   4-row blocking. *)
+   tolerance, signed zeros included — for any batch size: 1, ragged
+   tails of the 32-row blocks and several whole blocks. A NaN output
+   must be NaN on both paths; its payload bits are not part of the
+   contract. *)
+let same_bits a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  || (Float.is_nan a && Float.is_nan b)
+
+let bit_equal want got =
+  Array.length want = Array.length got && Array.for_all2 same_bits want got
+
+(* Values that stress the contract: signed zero, infinities, NaN, a
+   magnitude whose products overflow, and subnormals (which the kernel
+   must not flush to zero). *)
+let specials =
+  [| -0.0; Float.infinity; Float.neg_infinity; Float.nan; 1e308; -1e308;
+     4.9e-324; -2.2e-310 |]
+
+(* Scatter [specials] over roughly one element in [every] of [x]. *)
+let sprinkle_specials r every (x : Mlp.Tensor.t) =
+  Array.iteri
+    (fun i _ ->
+      if Util.Rng.int r every = 0 then
+        x.Mlp.Tensor.data.(i) <- Util.Rng.choice r specials)
+    x.Mlp.Tensor.data
+
+(* [predict_matrix] on rows [off, off + rows) of a larger matrix, the
+   zero-copy view each domain scores when a batch is fanned out. *)
+let predict_view net (x : Mlp.Tensor.t) ~off =
+  let cols = x.Mlp.Tensor.cols and rows = x.Mlp.Tensor.rows in
+  let big = Mlp.Matrix.create (off + rows + 3) cols in
+  for i = 0 to (rows * cols) - 1 do
+    Bigarray.Array1.set big.Mlp.Matrix.data ((off * cols) + i)
+      x.Mlp.Tensor.data.(i)
+  done;
+  Mlp.Network.predict_matrix net (Mlp.Matrix.sub_rows big ~off ~len:rows)
+
 let test_forward_batch_matches_predict () =
   List.iter
     (fun sizes ->
@@ -163,13 +198,23 @@ let test_forward_batch_matches_predict () =
       List.iter
         (fun batch ->
           let x = random_mat batch sizes.(0) in
+          let check what want got =
+            if not (bit_equal want got) then
+              Alcotest.failf "%s not bit-equal at batch=%d, sizes=%s" what
+                batch
+                (String.concat "-"
+                   (Array.to_list (Array.map string_of_int sizes)))
+          in
           let want = Mlp.Network.predict net x in
-          let got = Mlp.Network.predict_matrix net (Mlp.Matrix.of_tensor x) in
-          Alcotest.(check (array (float 0.0)))
-            (Printf.sprintf "bit-equal at batch=%d" batch)
-            want got)
-        [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 14; 16; 17; 33 ])
-    [ [| 16; 32; 1 |]; [| 16; 32; 64; 32; 1 |]; [| 3; 5; 1 |] ]
+          check "forward_batch" want
+            (Mlp.Network.predict_matrix net (Mlp.Matrix.of_tensor x));
+          check "sub_rows view" want (predict_view net x ~off:(1 + (batch mod 37)));
+          sprinkle_specials rng 7 x;
+          check "special inputs" (Mlp.Network.predict net x)
+            (Mlp.Network.predict_matrix net (Mlp.Matrix.of_tensor x)))
+        [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 14; 16; 17; 31; 32; 33; 63; 64; 65; 1000 ])
+    [ [| 16; 32; 1 |]; [| 16; 32; 64; 32; 1 |]; [| 3; 5; 1 |];
+      [| 19; 300; 32; 1 |] ]
 
 let test_forward_batch_rows_match_scalar () =
   let net = Mlp.Network.create rng ~sizes:[| 16; 32; 64; 32; 1 |] in
@@ -183,19 +228,25 @@ let test_forward_batch_rows_match_scalar () =
     batch
 
 let prop_forward_batch_bit_equal =
-  QCheck.Test.make ~name:"forward_batch bit-equals predict" ~count:30
-    QCheck.(triple (int_range 1 24) (int_range 1 40) (int_range 0 1000))
+  QCheck.Test.make ~name:"forward_batch bit-equals predict" ~count:40
+    QCheck.(triple (int_range 1 24) (int_range 1 100) (int_range 0 1000))
     (fun (inputs, batch, seed) ->
       let r = Util.Rng.create (1 + seed) in
-      let hidden = Array.init (1 + (seed mod 3)) (fun i -> 8 + (i * 4)) in
+      (* Every fifth net has a hidden layer wider than 256. *)
+      let hidden =
+        Array.init (1 + (seed mod 3)) (fun i ->
+            if seed mod 5 = 0 && i = 0 then 257 + (seed mod 40) else 8 + (i * 4))
+      in
       let sizes = Array.concat [ [| inputs |]; hidden; [| 1 |] ] in
       let net = Mlp.Network.create r ~sizes in
       let x = Mlp.Tensor.create batch inputs in
       Array.iteri
         (fun i _ -> x.Mlp.Tensor.data.(i) <- Util.Rng.gaussian r)
         x.Mlp.Tensor.data;
-      Mlp.Network.predict net x
-      = Mlp.Network.predict_matrix net (Mlp.Matrix.of_tensor x))
+      if seed mod 2 = 0 then sprinkle_specials r 11 x;
+      let want = Mlp.Network.predict net x in
+      bit_equal want (Mlp.Network.predict_matrix net (Mlp.Matrix.of_tensor x))
+      && bit_equal want (predict_view net x ~off:(seed mod 70)))
 
 let test_split () =
   let x = random_mat 100 3 in

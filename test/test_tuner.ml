@@ -472,6 +472,76 @@ let test_engines_choose_identical_conv_plans () =
   Alcotest.(check (float 0.0)) "bit-equal measurement" s.best_measurement.tflops
     b.best_measurement.tflops
 
+(* A profile whose network outputs 0.5 for every input: zero weights,
+   zero hidden biases, output bias 0.5. Every prediction ties. *)
+let constant_profile device =
+  let d = Tuner.Features.dim and h = 4 in
+  let zeros n = String.concat " " (List.init n (fun _ -> "0")) in
+  let lines =
+    ref
+      [ "mlp 3"; Printf.sprintf "%d %d 1" d h; "0"; zeros (h * d); zeros h;
+        zeros h; "0.5" ]
+  in
+  let net =
+    Mlp.Network.load_from (fun () ->
+        match !lines with
+        | l :: rest -> lines := rest; l
+        | [] -> raise End_of_file)
+  in
+  { Tuner.Profile.op = `Gemm; device = device.Gpu.Device.name; net;
+    scaler = Tuner.Features.fit_target_scaler [| 1.0; 2.0; 4.0 |];
+    log_features = true; feat_mean = Array.make d 0.0;
+    feat_std = Array.make d 1.0 }
+
+(* All predictions tie: the short-list is the first [top_k] scored
+   configs in caller-facing order, in both the search and the reference
+   (whose stable sort defines the tie order). *)
+let test_all_ties_keep_enumeration_order () =
+  let device = Gpu.Device.gtx980ti in
+  let profile = constant_profile device in
+  let input = GP.input 512 512 512 and top_k = 10 and cap = 5000 in
+  let b =
+    Option.get
+      (Tuner.Search.exhaustive_gemm ~top_k ~cap ~domains:2
+         (Util.Rng.create 77) device ~profile input)
+  and s =
+    Option.get
+      (Search_ref.exhaustive_gemm ~top_k ~cap ~domains:1 (Util.Rng.create 77)
+         device ~profile input)
+  in
+  (* The scored configs are every ceil(n/cap)-th legal one. *)
+  let legal = Tuner.Search.legal_gemm_config_array device input in
+  let n = Array.length legal in
+  let stride = if n <= cap then 1 else (n + cap - 1) / cap in
+  Alcotest.(check int) "full short-list" top_k (Array.length b.candidates);
+  Array.iteri
+    (fun i (c : Tuner.Search.candidate) ->
+      Alcotest.(check bool) "same candidate as reference" true
+        (GP.equal_config c.config s.candidates.(i).config);
+      Alcotest.(check bool) "i-th scored config" true
+        (GP.equal_config c.config legal.(i * stride));
+      Alcotest.(check (float 0.0)) "tied prediction"
+        b.candidates.(0).predicted_tflops c.predicted_tflops)
+    b.candidates;
+  Alcotest.(check bool) "same best config" true (GP.equal_config b.best s.best)
+
+(* The short-list rule against its definition, a stable descending sort,
+   on arrays full of ties, signed zeros, infinities and NaN. *)
+let prop_top_indices_is_stable_sort_prefix =
+  QCheck.Test.make ~name:"top_indices = stable sort prefix" ~count:300
+    QCheck.(
+      pair
+        (array_of_size (Gen.int_range 0 150)
+           (oneofl
+              [ Float.nan; 0.0; -0.0; 1.0; -1.0; 2.5; Float.infinity;
+                Float.neg_infinity ]))
+        (int_range 0 200))
+    (fun (pred, k) ->
+      let order = Array.init (Array.length pred) Fun.id in
+      Array.stable_sort (fun a b -> Float.compare pred.(b) pred.(a)) order;
+      Tuner.Search.top_indices pred k
+      = Array.sub order 0 (min k (Array.length pred)))
+
 (* Pruning can never change the argmax: over randomly drawn lattices
    (shape, dtype, layout, device), the bound-pruned batched search and
    the full-grid scalar reference must pick the identical plan — same
@@ -551,4 +621,7 @@ let () =
            test_engines_choose_identical_plans;
          Alcotest.test_case "conv engines agree" `Slow
            test_engines_choose_identical_conv_plans;
+         Alcotest.test_case "all-tie short-list order" `Slow
+           test_all_ties_keep_enumeration_order;
+         QCheck_alcotest.to_alcotest prop_top_indices_is_stable_sort_prefix;
          QCheck_alcotest.to_alcotest prop_pruning_never_changes_argmax ]) ]
